@@ -232,7 +232,7 @@ fn bench_gemm_core(c: &mut Criterion) {
             let x = Tensor::rand_uniform(&[batch, ic, hw, hw], -1.0, 1.0, &mut rng);
             let mut out = Tensor::default();
             group.bench_function(&format!("{label}_b{batch}_direct"), |b| {
-                b.iter(|| conv.infer(black_box(&x), &mut out))
+                b.iter(|| conv.infer_scalar(black_box(&x), &mut out))
             });
             let mut gemm = GemmScratch::new();
             group.bench_function(&format!("{label}_b{batch}_gemm"), |b| {
@@ -250,7 +250,7 @@ fn bench_gemm_core(c: &mut Criterion) {
             let x = Tensor::rand_uniform(&[batch, in_f], -1.0, 1.0, &mut rng);
             let mut out = Tensor::default();
             group.bench_function(&format!("{label}_b{batch}_scalar"), |b| {
-                b.iter(|| dense.infer(black_box(&x), &mut out))
+                b.iter(|| dense.infer_scalar(black_box(&x), &mut out))
             });
             let mut gemm = GemmScratch::new();
             group.bench_function(&format!("{label}_b{batch}_gemm"), |b| {

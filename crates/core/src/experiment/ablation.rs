@@ -123,11 +123,11 @@ fn train_perturbed_only<E: Environment, R: Rng>(
                 let batch = buffer.sample(config.trainer.dqn.batch_size, rng)?;
                 let map = perturber.sample_fault_map(agent.q_net(), &chip, train_ber, rng)?;
                 let mut q_perturbed = perturber.perturb_with_map(agent.q_net(), &map)?;
-                let mut t_perturbed = perturber.perturb_with_map(agent.target_net(), &map)?;
+                let t_perturbed = perturber.perturb_with_map(agent.target_net(), &map)?;
                 q_perturbed.zero_grad();
                 accumulate_td_gradients(
                     &mut q_perturbed,
-                    &mut t_perturbed,
+                    &t_perturbed,
                     &batch,
                     &observation_shape,
                     num_actions,

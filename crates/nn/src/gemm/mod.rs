@@ -22,9 +22,10 @@
 //!   rollout engine retire and refill episode lanes without perturbing the
 //!   surviving lanes' Q-values;
 //! * **reference equality** — the GEMM path is bitwise identical to the
-//!   loop-reordered scalar kernels each layer keeps as its auditable
-//!   reference ([`crate::layer::Layer::infer`]), pinned by the
-//!   GEMM-vs-scalar layer tests.
+//!   scalar kernels the convolution and dense layers keep as their
+//!   auditable references ([`crate::layer::Conv2d::infer_scalar`],
+//!   [`crate::layer::Dense::infer_scalar`]), pinned by the GEMM-vs-scalar
+//!   layer tests.
 //!
 //! Zero-valued contraction terms (im2col padding cells, exact-zero
 //! activations skipped by [`crate::tensor::Tensor::matmul`]) contribute

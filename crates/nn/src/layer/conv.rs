@@ -1,4 +1,4 @@
-//! 2-D convolution layer (naïve direct implementation).
+//! 2-D convolution layer (im2col + GEMM forward, direct backward).
 
 use super::Layer;
 use crate::gemm::{gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape};
@@ -8,10 +8,11 @@ use crate::tensor::Tensor;
 /// A 2-D convolution over `[batch, channels, height, width]` inputs.
 ///
 /// Weights have shape `[out_channels, in_channels, kernel, kernel]` and the
-/// bias `[out_channels]`.  The implementation is a direct (six-nested-loop)
-/// convolution: slow but simple, bounds-checked and easy to audit, which
-/// matters more than speed for the small C3F2 / C5F4 policy networks used by
-/// the BERRY experiments.
+/// bias `[out_channels]`.  The forward pass lowers each sample to an im2col
+/// patch matrix and multiplies it through the shared GEMM core
+/// ([`Layer::infer_with`]); the backward pass is a direct loop over output
+/// positions and kernel taps.  [`Conv2d::infer_scalar`] keeps a direct
+/// scalar kernel as the bitwise reference the GEMM path is tested against.
 ///
 /// # Examples
 ///
@@ -148,60 +149,12 @@ impl Conv2d {
         let k = self.kernel;
         ((oc * self.in_channels + ic) * k + kh) * k + kw
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 4, "Conv2d expects [batch, c, h, w] input");
-        let (batch, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        assert_eq!(c, self.in_channels, "Conv2d input channel mismatch");
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        let in_data = input.data();
-        {
-            let out_data = out.data_mut();
-            for n in 0..batch {
-                for oc in 0..self.out_channels {
-                    let bias = self.bias.data()[oc];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = bias;
-                            for ic in 0..self.in_channels {
-                                for kh in 0..self.kernel {
-                                    let iy = (oy * self.stride + kh) as isize - self.padding as isize;
-                                    if iy < 0 || iy >= h as isize {
-                                        continue;
-                                    }
-                                    for kw in 0..self.kernel {
-                                        let ix =
-                                            (ox * self.stride + kw) as isize - self.padding as isize;
-                                        if ix < 0 || ix >= w as isize {
-                                            continue;
-                                        }
-                                        let in_idx = ((n * c + ic) * h + iy as usize) * w
-                                            + ix as usize;
-                                        acc += in_data[in_idx] * self.w_at(oc, ic, kh, kw);
-                                    }
-                                }
-                            }
-                            let out_idx = ((n * self.out_channels + oc) * oh + oy) * ow + ox;
-                            out_data[out_idx] = acc;
-                        }
-                    }
-                }
-            }
-        }
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor) {
+    /// Scalar reference kernel: a loop-reordered direct convolution with
+    /// the same output as [`Layer::infer_with`] at the Reference tier, bit
+    /// for bit.  Not on any production path; the GEMM-vs-scalar tests and
+    /// benches compare the GEMM core against it.
+    pub fn infer_scalar(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(input.rank(), 4, "Conv2d expects [batch, c, h, w] input");
         let (batch, c, h, w) = (
             input.shape()[0],
@@ -219,15 +172,13 @@ impl Layer for Conv2d {
         let k = self.kernel;
         let s = self.stride;
         let p = self.padding;
-        // Loop-reordered direct convolution: one weight tap is hoisted and
-        // swept across a whole output row.  Every output element still
-        // starts from the bias and receives its taps in (ic, kh, kw)
-        // ascending order — each (ic, kh, kw) iteration touches each
-        // accumulator at most once — so the per-element floating-point add
-        // sequence, and therefore the result bits, are identical to the
-        // index-per-tap training `forward`.  Out-of-bounds taps are
-        // range-clipped instead of `continue`d, skipping exactly the same
-        // terms.
+        // One weight tap is hoisted and swept across a whole output row.
+        // Every output element still starts from the bias and receives its
+        // in-bounds taps in (ic, kh, kw) ascending order — each (ic, kh, kw)
+        // iteration touches each accumulator at most once — which is the
+        // GEMM's accumulation order over the im2col patch columns.
+        // Out-of-bounds taps are range-clipped; the GEMM adds their zero
+        // products instead, which leave the accumulator's bits unchanged.
         for n in 0..batch {
             for oc in 0..self.out_channels {
                 let bias = self.bias.data()[oc];
@@ -290,7 +241,9 @@ impl Layer for Conv2d {
             }
         }
     }
+}
 
+impl Layer for Conv2d {
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         assert_eq!(input.rank(), 4, "Conv2d expects [batch, c, h, w] input");
         let (batch, c, h, w) = (
@@ -336,12 +289,17 @@ impl Layer for Conv2d {
         }
     }
 
+    fn remember(&mut self, input: &Tensor, _output: &Tensor) {
+        self.cached_input
+            .get_or_insert_with(Tensor::default)
+            .copy_from(input);
+    }
+
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
-            .expect("backward called before forward on Conv2d")
-            .clone();
+            .expect("backward called before forward on Conv2d");
         let (batch, c, h, w) = (
             input.shape()[0],
             input.shape()[1],
@@ -488,7 +446,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, 2, 9, 9], -1.0, 1.0, &mut r);
         let expected = conv.forward(&x);
         let mut out = Tensor::default();
-        conv.infer(&x, &mut out);
+        conv.infer_scalar(&x, &mut out);
         assert_eq!(out.shape(), expected.shape());
         for (a, b) in out.data().iter().zip(expected.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -514,7 +472,7 @@ mod tests {
             let x = Tensor::rand_uniform(&[batch, ic, h, w], -1.0, 1.0, &mut r);
             let expected = conv.forward(&x);
             let mut scalar = Tensor::default();
-            conv.infer(&x, &mut scalar);
+            conv.infer_scalar(&x, &mut scalar);
             let mut gemmed = Tensor::default();
             conv.infer_with(&x, &mut gemmed, &mut gemm);
             assert_eq!(gemmed.shape(), expected.shape());

@@ -108,29 +108,12 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 2, "Dense expects [batch, features] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "Dense input feature mismatch"
-        );
-        let batch = input.shape()[0];
-        let wt = self.weight.transpose().expect("weight is rank 2");
-        let mut out = input.matmul(&wt).expect("checked dims");
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                *out.at2_mut(n, o) += self.bias.data()[o];
-            }
-        }
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor) {
+    /// Scalar reference kernel: per-row dot products with the same output
+    /// as [`Layer::infer_with`] at the Reference tier, bit for bit.  Not on
+    /// any production path; the GEMM-vs-scalar tests and benches compare
+    /// the GEMM core against it.
+    pub fn infer_scalar(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(input.rank(), 2, "Dense expects [batch, features] input");
         assert_eq!(
             input.shape()[1],
@@ -148,9 +131,8 @@ impl Layer for Dense {
             let row = &x[n * in_f..(n + 1) * in_f];
             for o in 0..out_f {
                 let w_row = &w[o * in_f..(o + 1) * in_f];
-                // Accumulate over k ascending with the same zero-skip as
-                // `Tensor::matmul`, then add the bias last, so the result is
-                // bitwise identical to `forward`'s matmul-then-bias.
+                // Accumulate over k ascending, skipping exact-zero
+                // activations, then add the bias last.
                 let mut acc = 0.0f32;
                 for (&xv, &wv) in row.iter().zip(w_row.iter()) {
                     if xv == 0.0 {
@@ -162,7 +144,9 @@ impl Layer for Dense {
             }
         }
     }
+}
 
+impl Layer for Dense {
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         assert_eq!(input.rank(), 2, "Dense expects [batch, features] input");
         assert_eq!(
@@ -175,8 +159,8 @@ impl Layer for Dense {
         // y = x · Wᵀ + b through the tiered GEMM: both operands are
         // already stored as rows over the contraction dimension.  At the
         // default Reference tier each element accumulates k-ascending with
-        // the bias added last, so the bits match the scalar `infer`
-        // reference (exact-zero activations that the reference skips
+        // the bias added last, so the bits match `infer_scalar`
+        // (exact-zero activations that the reference skips
         // contribute ±0.0, which cannot change a +0.0-initialized
         // accumulator); the Fast tier follows the scratch's precision
         // setting instead.
@@ -192,6 +176,12 @@ impl Layer for Dense {
             precision,
             packs,
         );
+    }
+
+    fn remember(&mut self, input: &Tensor, _output: &Tensor) {
+        self.cached_input
+            .get_or_insert_with(Tensor::default)
+            .copy_from(input);
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -294,7 +284,7 @@ mod tests {
         x.data_mut()[10] = 0.0;
         let expected = layer.forward(&x);
         let mut out = Tensor::default();
-        layer.infer(&x, &mut out);
+        layer.infer_scalar(&x, &mut out);
         assert_eq!(out.shape(), expected.shape());
         for (a, b) in out.data().iter().zip(expected.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -323,7 +313,7 @@ mod tests {
             }
             let expected = layer.forward(&x);
             let mut scalar = Tensor::default();
-            layer.infer(&x, &mut scalar);
+            layer.infer_scalar(&x, &mut scalar);
             let mut gemmed = Tensor::default();
             layer.infer_with(&x, &mut gemmed, &mut gemm);
             assert_eq!(gemmed.shape(), expected.shape());

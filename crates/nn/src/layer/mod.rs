@@ -1,11 +1,13 @@
 //! Neural-network layers with explicit forward and backward passes.
 //!
-//! Each layer caches whatever it needs from its most recent forward pass so
-//! that a subsequent [`Layer::backward`] call can produce parameter gradients
-//! and the gradient with respect to the layer input.  Gradients accumulate
-//! until [`Layer::zero_grad`] is called, which is what lets the BERRY
-//! trainer *average* the clean-pass and perturbed-pass gradients (Algorithm 1
-//! line 19) simply by running two backward passes before one optimizer step.
+//! Each layer has exactly one forward computation, [`Layer::infer_with`].
+//! Training's [`Layer::forward`] runs it at the Reference tier and then lets
+//! the layer remember whatever a subsequent [`Layer::backward`] call needs
+//! to produce parameter gradients and the gradient with respect to the layer
+//! input.  Gradients accumulate until [`Layer::zero_grad`] is called, which
+//! is what lets the BERRY trainer *average* the clean-pass and
+//! perturbed-pass gradients (Algorithm 1 line 19) simply by running two
+//! backward passes before one optimizer step.
 
 mod conv;
 mod dense;
@@ -13,8 +15,16 @@ mod dense;
 pub use conv::Conv2d;
 pub use dense::Dense;
 
+use std::cell::RefCell;
+
 use crate::gemm::GemmScratch;
 use crate::tensor::Tensor;
+
+thread_local! {
+    /// im2col buffers for [`Layer::forward`], whose signature carries no
+    /// scratch.  Never switched off the default Reference tier.
+    static TRAIN_GEMM: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
+}
 
 /// A differentiable network layer.
 ///
@@ -26,38 +36,41 @@ use crate::tensor::Tensor;
 /// layers are plain buffers of `f32`, so every implementation satisfies it
 /// automatically.
 pub trait Layer: Send + Sync {
-    /// Runs the forward pass, caching anything needed by [`Layer::backward`].
-    fn forward(&mut self, input: &Tensor) -> Tensor;
-
-    /// Runs an immutable, cache-free forward pass, writing the layer output
-    /// into the caller-owned `out` scratch tensor (resizing it in place).
+    /// Runs the training forward pass: [`Layer::infer_with`] at
+    /// [`Precision::Reference`](crate::gemm::Precision::Reference), then
+    /// [`Layer::remember`] to cache what [`Layer::backward`] reads.
     ///
-    /// This is the deployment/evaluation inference path: it takes `&self`,
-    /// so one network can be shared by reference across data-parallel
-    /// fault-map workers, and it allocates nothing once `out` has reached
-    /// its steady-state capacity.  Implementations MUST produce outputs that
-    /// are **bitwise identical** to [`Layer::forward`] for the same input —
-    /// the floating-point operations and their order are part of the
-    /// contract (pinned by `tests/parallel_determinism.rs`), because the
-    /// evaluation harnesses mix the two paths and average hundreds of
-    /// fault maps whose statistics must not depend on which path ran.
-    fn infer(&self, input: &Tensor, out: &mut Tensor);
-
-    /// [`Layer::infer`] through the shared im2col/GEMM inference core.
-    ///
-    /// This is the path [`crate::network::Sequential`] drives on its hot
-    /// loop: layers with a matrix-product forward (dense, convolution)
-    /// override it to route through [`crate::gemm::gemm_nt`] using the
-    /// caller-owned [`GemmScratch`] for im2col patch buffers, while
-    /// element-wise layers fall back to their scalar `infer`.  The output
-    /// is **bitwise identical** to [`Layer::infer`] (and therefore to
-    /// [`Layer::forward`]) — the GEMM kernel accumulates each output
-    /// element's terms in the same ascending order as the scalar
-    /// reference, and the GEMM-vs-scalar layer tests pin the equality.
-    fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
-        let _ = gemm;
-        self.infer(input, out);
+    /// The tier is fixed whatever tier any caller's inference scratch uses,
+    /// so training trajectories — and the store fingerprints derived from
+    /// them — are tier-agnostic.  Because training and Reference inference
+    /// run the same code, their outputs are bitwise identical by
+    /// construction.  Implementations do not override this method.
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        TRAIN_GEMM.with_borrow_mut(|gemm| self.infer_with(input, &mut out, gemm));
+        self.remember(input, &out);
+        out
     }
+
+    /// The layer's forward computation: an immutable, cache-free pass
+    /// writing the output into the caller-owned `out` tensor (resized in
+    /// place).
+    ///
+    /// It takes `&self`, so one network can be shared by reference across
+    /// data-parallel fault-map workers, and it allocates nothing once `out`
+    /// and `gemm` have reached their steady-state capacity.  Layers with a
+    /// matrix-product forward (dense, convolution) route through
+    /// [`crate::gemm::gemm_nt_with`] at the tier `gemm` carries, using its
+    /// im2col patch buffers; element-wise layers ignore `gemm`.  At the
+    /// Reference tier the GEMM accumulates each output element's terms in
+    /// the same ascending order as the scalar reference kernels
+    /// ([`Conv2d::infer_scalar`], [`Dense::infer_scalar`]), and the
+    /// GEMM-vs-scalar layer tests pin that bitwise equality.
+    fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch);
+
+    /// Stores what [`Layer::backward`] reads from the forward pass that
+    /// mapped `input` to `output`, reusing the previous cache's buffers.
+    fn remember(&mut self, input: &Tensor, output: &Tensor);
 
     /// Runs the backward pass for the most recent forward input, accumulating
     /// parameter gradients and returning the gradient with respect to the
@@ -104,6 +117,32 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
+/// The (leaky) ReLU gain at `v`: the mask value `backward` multiplies by,
+/// and the factor the forward applies (ReLU is `slope == 0.0`).
+fn rectifier_gain(v: f32, slope: f32) -> f32 {
+    if v > 0.0 {
+        1.0
+    } else {
+        slope
+    }
+}
+
+/// Forward of a (leaky) ReLU: `v * gain`, a multiply rather than a select
+/// so negative inputs map to a signed zero.
+fn rectify(input: &Tensor, out: &mut Tensor, slope: f32) {
+    out.reset(input.shape());
+    for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
+        *o = v * rectifier_gain(v, slope);
+    }
+}
+
+/// Refills a (leaky) ReLU's cached mask from the forward input.
+fn remember_mask(mask: &mut Option<Tensor>, input: &Tensor, slope: f32) {
+    let mask = mask.get_or_insert_with(Tensor::default);
+    mask.copy_from(input);
+    mask.map_in_place(|v| rectifier_gain(v, slope));
+}
+
 /// Rectified linear unit activation, applied element-wise.
 ///
 /// # Examples
@@ -132,20 +171,12 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let out = input.mul(&mask).expect("mask shares input shape");
-        self.mask = Some(mask);
-        out
+    fn infer_with(&self, input: &Tensor, out: &mut Tensor, _gemm: &mut GemmScratch) {
+        rectify(input, out, 0.0);
     }
 
-    fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        out.reset(input.shape());
-        // Same mask-multiply arithmetic as `forward` (v * 0.0 keeps the sign
-        // of zero identical between the two paths).
-        for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = v * if v > 0.0 { 1.0 } else { 0.0 };
-        }
+    fn remember(&mut self, input: &Tensor, _output: &Tensor) {
+        remember_mask(&mut self.mask, input, 0.0);
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -211,20 +242,12 @@ impl Default for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let slope = self.slope;
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { slope });
-        let out = input.mul(&mask).expect("mask shares input shape");
-        self.mask = Some(mask);
-        out
+    fn infer_with(&self, input: &Tensor, out: &mut Tensor, _gemm: &mut GemmScratch) {
+        rectify(input, out, self.slope);
     }
 
-    fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        let slope = self.slope;
-        out.reset(input.shape());
-        for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = v * if v > 0.0 { 1.0 } else { slope };
-        }
+    fn remember(&mut self, input: &Tensor, _output: &Tensor) {
+        remember_mask(&mut self.mask, input, self.slope);
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -278,17 +301,17 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_with(&self, input: &Tensor, out: &mut Tensor, _gemm: &mut GemmScratch) {
         out.reset(input.shape());
         for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
             *o = v.tanh();
         }
+    }
+
+    fn remember(&mut self, _input: &Tensor, output: &Tensor) {
+        self.output
+            .get_or_insert_with(Tensor::default)
+            .copy_from(output);
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -344,21 +367,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape().to_vec();
-        assert!(
-            !shape.is_empty(),
-            "Flatten requires an input with at least one dimension"
-        );
-        let batch = shape[0];
-        let features: usize = shape[1..].iter().product();
-        self.input_shape = Some(shape);
-        input
-            .reshape(&[batch, features])
-            .expect("flatten preserves element count")
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor) {
+    fn infer_with(&self, input: &Tensor, out: &mut Tensor, _gemm: &mut GemmScratch) {
         let shape = input.shape();
         assert!(
             !shape.is_empty(),
@@ -368,6 +377,12 @@ impl Layer for Flatten {
         let features: usize = shape[1..].iter().product();
         out.reset(&[batch, features]);
         out.data_mut().copy_from_slice(input.data());
+    }
+
+    fn remember(&mut self, input: &Tensor, _output: &Tensor) {
+        let shape = self.input_shape.get_or_insert_with(Vec::new);
+        shape.clear();
+        shape.extend_from_slice(input.shape());
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -480,10 +495,50 @@ mod tests {
         for mut layer in layers {
             let expected = layer.forward(&x);
             let mut out = Tensor::default();
-            layer.infer(&x, &mut out);
+            layer.infer_with(&x, &mut out, &mut GemmScratch::new());
             assert_eq!(out.shape(), expected.shape(), "{}", layer.name());
             for (a, b) in out.data().iter().zip(expected.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}", layer.name());
+            }
+        }
+    }
+
+    #[test]
+    fn reused_training_cache_matches_a_fresh_layer_bitwise() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(40);
+        let planes = |batch, rng: &mut rand::rngs::StdRng| {
+            Tensor::rand_uniform(&[batch, 2, 5, 5], -1.0, 1.0, rng)
+        };
+        let rows = |batch, rng: &mut rand::rngs::StdRng| {
+            Tensor::rand_uniform(&[batch, 6], -1.0, 1.0, rng)
+        };
+        let (planes4, planes2) = (planes(4, &mut rng), planes(2, &mut rng));
+        let (rows4, rows2) = (rows(4, &mut rng), rows(2, &mut rng));
+        let cases: Vec<(Box<dyn Layer>, &Tensor, &Tensor)> = vec![
+            (Box::new(Conv2d::new(2, 3, 3, 2, 1, &mut rng)), &planes4, &planes2),
+            (Box::new(Dense::new(6, 4, &mut rng)), &rows4, &rows2),
+            (Box::new(Relu::new()), &rows4, &rows2),
+            (Box::new(LeakyRelu::new(0.1)), &rows4, &rows2),
+            (Box::new(Tanh::new()), &rows4, &rows2),
+            (Box::new(Flatten::new()), &planes4, &planes2),
+        ];
+        let bits = |t: &Tensor| {
+            let data: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+            (t.shape().to_vec(), data)
+        };
+        for (mut reused, large, small) in cases {
+            let mut fresh = reused.clone();
+            reused.forward(large);
+            let y = reused.forward(small);
+            let grad_output = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+            let reused_gx = reused.backward(&grad_output);
+            fresh.forward(small);
+            let fresh_gx = fresh.backward(&grad_output);
+            let name = reused.name();
+            assert_eq!(bits(&reused_gx), bits(&fresh_gx), "{name}: input gradient");
+            for (a, b) in reused.grads().into_iter().zip(fresh.grads()) {
+                assert_eq!(bits(a), bits(b), "{name}: parameter gradient");
             }
         }
     }

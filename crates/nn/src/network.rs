@@ -106,8 +106,12 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs a forward pass through every layer, caching activations for a
-    /// subsequent [`Sequential::backward`] call.
+    /// Runs the training forward pass ([`Layer::forward`]) through every
+    /// layer, caching what a subsequent [`Sequential::backward`] call reads.
+    ///
+    /// Each layer computes through its one forward implementation at the
+    /// Reference tier, so the output is bitwise identical to
+    /// [`Sequential::infer_into`] through a Reference-tier scratch.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
@@ -120,11 +124,12 @@ impl Sequential {
     /// using the caller-owned scratch buffers, and returns a borrow of the
     /// final activations living inside `scratch`.
     ///
-    /// The output is **bitwise identical** to [`Sequential::forward`] on the
-    /// same input (each layer's [`Layer::infer`] pins that contract), but
-    /// the network is only borrowed — which is what lets hundreds of
-    /// data-parallel fault-map workers share one policy by reference — and
-    /// nothing is allocated once the scratch has warmed up.
+    /// Through a Reference-tier scratch the output is **bitwise identical**
+    /// to [`Sequential::forward`] on the same input (both run each layer's
+    /// [`Layer::infer_with`]), but the network is only borrowed — which is
+    /// what lets hundreds of data-parallel fault-map workers share one
+    /// policy by reference — and no training cache is written.  Nothing is
+    /// allocated once the scratch has warmed up.
     #[must_use = "the output lives in the scratch; dropping it wastes the whole forward pass"]
     pub fn infer_into<'s>(&self, input: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
         let in_ping =

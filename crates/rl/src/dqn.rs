@@ -105,6 +105,10 @@ fn stack_observations(
 /// `target_net` on `batch`, runs the backward pass and **accumulates** the
 /// gradients in `q_net`.
 ///
+/// The target network is only read: its pass runs through the immutable
+/// inference path at the Reference tier, which is bitwise identical to a
+/// training forward but caches no activations.
+///
 /// Returns the scalar loss.  The caller owns zeroing gradients and stepping
 /// the optimizer, which is what lets BERRY accumulate a clean pass and a
 /// perturbed pass before one update (Algorithm 1 line 19).
@@ -115,7 +119,7 @@ fn stack_observations(
 /// index is out of range.
 pub fn accumulate_td_gradients(
     q_net: &mut Sequential,
-    target_net: &mut Sequential,
+    target_net: &Sequential,
     batch: &[Transition],
     observation_shape: &[usize],
     num_actions: usize,
@@ -130,9 +134,9 @@ pub fn accumulate_td_gradients(
     let next_states = stack_observations(batch, observation_shape, true)?;
 
     // y_j = r_j + γ max_a' Q(s_{j+1}, a'; θ⁻)            (paper Eq. 1 / line 12)
-    let next_q = target_net.forward(&next_states);
+    let mut target_scratch = InferScratch::new();
+    let next_q = target_net.infer_into(&next_states, &mut target_scratch);
     let pred = q_net.forward(&states);
-    let batch_size = batch.len();
 
     let mut target = pred.clone();
     let mut mask = Tensor::zeros(pred.shape());
@@ -152,7 +156,6 @@ pub fn accumulate_td_gradients(
         *target.at2_mut(j, transition.action) = y;
         *mask.at2_mut(j, transition.action) = 1.0;
     }
-    let _ = batch_size;
 
     let (loss, grad) = masked_mse_loss(&pred, &target, &mask);
     q_net.backward(&grad);
@@ -398,7 +401,7 @@ impl DqnAgent {
         self.q_net.zero_grad();
         let loss = accumulate_td_gradients(
             &mut self.q_net,
-            &mut self.target_net,
+            &self.target_net,
             batch,
             &self.observation_shape,
             self.num_actions,
@@ -564,15 +567,15 @@ mod tests {
         // training drives Q(s, a) toward 0. With done=false it bootstraps.
         let mut r = rng(8);
         let mut q = QNetworkSpec::mlp(vec![8]).build(&[1], 2, &mut r).unwrap();
-        let mut tgt = q.clone();
+        let tgt = q.clone();
         let done_batch = vec![transition(vec![1.0], 0, 0.0, vec![1.0], true)];
         let not_done_batch = vec![transition(vec![1.0], 0, 0.0, vec![1.0], false)];
         q.zero_grad();
         let loss_done =
-            accumulate_td_gradients(&mut q, &mut tgt, &done_batch, &[1], 2, 0.9).unwrap();
+            accumulate_td_gradients(&mut q, &tgt, &done_batch, &[1], 2, 0.9).unwrap();
         q.zero_grad();
         let loss_not_done =
-            accumulate_td_gradients(&mut q, &mut tgt, &not_done_batch, &[1], 2, 0.9).unwrap();
+            accumulate_td_gradients(&mut q, &tgt, &not_done_batch, &[1], 2, 0.9).unwrap();
         // With bootstrapping the target moves toward gamma*maxQ which is closer
         // to the prediction than 0 only if maxQ has the same sign; the two
         // losses must simply differ, proving the done flag is honoured.

@@ -9,7 +9,7 @@
 //!    {1, 3, 8}, over random policies, seeds and episode budgets;
 //! 2. **GEMM-vs-scalar-reference equality** — the im2col/GEMM inference
 //!    kernels produce bitwise-identical outputs to each layer's scalar
-//!    reference (`Layer::infer`) across odd shapes, strides and paddings.
+//!    reference (`infer_scalar`) across odd shapes, strides and paddings.
 
 use berry_nn::gemm::GemmScratch;
 use berry_nn::layer::{Conv2d, Dense, Layer};
@@ -152,7 +152,7 @@ proptest! {
         let conv = Conv2d::new(in_c, out_c, kernel, stride, padding, &mut rng);
         let x = Tensor::rand_uniform(&[batch, in_c, h, w], -1.0, 1.0, &mut rng);
         let mut scalar = Tensor::default();
-        conv.infer(&x, &mut scalar);
+        conv.infer_scalar(&x, &mut scalar);
         let mut gemmed = Tensor::default();
         let mut gemm = GemmScratch::new();
         conv.infer_with(&x, &mut gemmed, &mut gemm);
@@ -185,7 +185,7 @@ proptest! {
             x.data_mut()[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
         let mut scalar = Tensor::default();
-        dense.infer(&x, &mut scalar);
+        dense.infer_scalar(&x, &mut scalar);
         let mut gemmed = Tensor::default();
         let mut gemm = GemmScratch::new();
         dense.infer_with(&x, &mut gemmed, &mut gemm);

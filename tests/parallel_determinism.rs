@@ -280,8 +280,11 @@ fn pair_seeds_are_distinct_and_disjoint_from_the_other_families() {
 
 /// The immutable inference path must agree bitwise with the caching
 /// `forward` path for every layer type — the fault-map workers roll out
-/// episodes through `infer` while the training and legacy paths use
-/// `forward`, and the averaged statistics may not depend on which one ran.
+/// episodes through `infer_into` while training uses `forward`, and the
+/// averaged statistics may not depend on which one ran.  Both run each
+/// layer's one forward computation (`Layer::infer_with`), so this pins
+/// that `forward` stays on it at the Reference tier and that the
+/// ping-pong driver chains layers exactly as the training pass does.
 #[test]
 fn infer_path_matches_forward_path_bitwise_across_all_layer_types() {
     use berry_nn::layer::{Conv2d, Dense, Flatten, LeakyRelu, Relu, Tanh};
@@ -310,11 +313,15 @@ fn infer_path_matches_forward_path_bitwise_across_all_layer_types() {
         .build(&[7], 4, &mut rng)
         .unwrap();
     let mlp_input = Tensor::rand_uniform(&[5, 7], -1.0, 1.0, &mut rng);
+    let c5f4 = berry_rl::policy::QNetworkSpec::C5F4
+        .build(&[2, 9, 9], 25, &mut rng)
+        .unwrap();
 
     let mut scratch = InferScratch::new();
     for (label, mut net, input) in [
         ("all-layer-types", all_layers, conv_input.clone()),
-        ("C3F2", c3f2, conv_input),
+        ("C3F2", c3f2, conv_input.clone()),
+        ("C5F4", c5f4, conv_input),
         ("MLP", mlp, mlp_input),
     ] {
         let expected = net.forward(&input);

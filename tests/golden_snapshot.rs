@@ -367,3 +367,136 @@ fn campaign_rows_are_stable_across_worker_counts() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Conv-training golden snapshot: seeded C3F2 and C5F4 optimizer updates.
+//
+// The campaign rows above train smoke-scale MLP stand-ins, so they never
+// run a convolution's backward pass.  These pins cover it: a few classical
+// DQN updates of a C3F2 agent and a few BERRY dual-pass updates of a C5F4
+// agent on fixed, seeded replay batches, pinned as the FNV-1a-64 of the
+// trained flat weights plus the bits of every reported loss.  They were
+// recorded with the direct scalar convolution backward loop, so they prove
+// that the GEMM backward reproduces its gradients bit for bit through
+// whole optimizer steps (ReLU zeros, signed zeros and the two accumulating
+// backward passes of the dual-pass update included).
+// ---------------------------------------------------------------------------
+
+/// Observation shape of the navigation env's depth/goal image.
+const CONV_OBS: [usize; 3] = [2, 9, 9];
+/// Action count of the navigation env.
+const CONV_ACTIONS: usize = 25;
+
+fn conv_agent(spec: &berry_rl::policy::QNetworkSpec, seed: u64) -> berry_rl::dqn::DqnAgent {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let config = berry_rl::dqn::DqnConfig {
+        gamma: 0.9,
+        learning_rate: 1e-3,
+        batch_size: 16,
+        target_sync_every: 2,
+        grad_clip: 1.0,
+    };
+    berry_rl::dqn::DqnAgent::new(spec, &CONV_OBS, CONV_ACTIONS, config, &mut rng).unwrap()
+}
+
+/// A seeded replay batch.  About a third of the observation cells are
+/// exact `+0.0` (as in the navigation env's empty cells), so zero inputs
+/// reach the first convolution as well as the ReLU zeros deeper down.
+fn conv_batch(rng: &mut rand::rngs::StdRng, size: usize) -> Vec<berry_rl::env::Transition> {
+    use rand::Rng;
+    let len: usize = CONV_OBS.iter().product();
+    let mut observation = |rng: &mut rand::rngs::StdRng| {
+        let data: Vec<f32> = (0..len)
+            .map(|_| {
+                if rng.gen::<f32>() < 0.33 {
+                    0.0
+                } else {
+                    rng.gen::<f32>()
+                }
+            })
+            .collect();
+        berry_nn::tensor::Tensor::from_vec(CONV_OBS.to_vec(), data).unwrap()
+    };
+    (0..size)
+        .map(|_| berry_rl::env::Transition {
+            state: observation(rng),
+            action: rng.gen_range(0..CONV_ACTIONS),
+            reward: rng.gen::<f32>() * 2.0 - 1.0,
+            next_state: observation(rng),
+            done: rng.gen::<f32>() < 0.2,
+        })
+        .collect()
+}
+
+/// FNV-1a-64 of the little-endian bytes of a network's flat weights.
+fn weights_fnv(net: &berry_nn::network::Sequential) -> u64 {
+    let bytes: Vec<u8> = net
+        .to_flat_weights()
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    berry_core::seed::fnv1a64_bytes(&bytes)
+}
+
+/// Pinned C3F2 run: the weight fingerprint after three classical updates
+/// and the bits of the three TD losses.
+const C3F2_TRAIN_GOLDEN: (u64, [u32; 3]) = (
+    0x00ba_3d2a_1710_4db2,
+    [0x3fb9_c93e, 0x3f8f_314e, 0x3fb2_f047],
+);
+
+/// Pinned C5F4 run: the weight fingerprint after three BERRY dual-pass
+/// updates and the bits of the (clean, perturbed) loss of each.
+const C5F4_BERRY_GOLDEN: (u64, [u32; 6]) = (
+    0xbc7f_f6aa_c548_ab44,
+    [
+        0x3f5a_2833,
+        0x3f8b_867d,
+        0x3f0b_309e,
+        0x3f30_b044,
+        0x3f1d_2af4,
+        0x3f76_7369,
+    ],
+);
+
+#[test]
+fn c3f2_classical_updates_match_golden_snapshot() {
+    let mut agent = conv_agent(&berry_rl::policy::QNetworkSpec::C3F2, 41);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let losses: Vec<u32> = (0..3)
+        .map(|_| {
+            let batch = conv_batch(&mut rng, 16);
+            agent.train_on_batch(&batch).unwrap().to_bits()
+        })
+        .collect();
+    let observed = (weights_fnv(agent.q_net()), losses);
+    eprintln!("observed c3f2 training: ({:#x}, {:x?})", observed.0, observed.1);
+    assert_eq!(observed.0, C3F2_TRAIN_GOLDEN.0, "C3F2 weights drifted");
+    assert_eq!(observed.1, C3F2_TRAIN_GOLDEN.1, "C3F2 losses drifted");
+}
+
+#[test]
+fn c5f4_berry_updates_match_golden_snapshot() {
+    use berry_core::perturb::NetworkPerturber;
+    use berry_core::robust::{berry_update_step_with_scratch, DualPassScratch};
+
+    let mut agent = conv_agent(&berry_rl::policy::QNetworkSpec::C5F4, 51);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(52);
+    let perturber = NetworkPerturber::new(8).unwrap();
+    let map = perturber
+        .sample_fault_map(agent.q_net(), &ChipProfile::generic(), 0.01, &mut rng)
+        .unwrap();
+    let mut scratch = DualPassScratch::new();
+    let mut losses = Vec::new();
+    for _ in 0..3 {
+        let batch = conv_batch(&mut rng, 16);
+        let (clean, perturbed) =
+            berry_update_step_with_scratch(&mut agent, &batch, &perturber, &map, &mut scratch)
+                .unwrap();
+        losses.extend([clean.to_bits(), perturbed.to_bits()]);
+    }
+    let observed = (weights_fnv(agent.q_net()), losses);
+    eprintln!("observed c5f4 training: ({:#x}, {:x?})", observed.0, observed.1);
+    assert_eq!(observed.0, C5F4_BERRY_GOLDEN.0, "C5F4 weights drifted");
+    assert_eq!(observed.1, C5F4_BERRY_GOLDEN.1, "C5F4 losses drifted");
+}

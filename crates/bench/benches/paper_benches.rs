@@ -12,7 +12,8 @@
 //! * `table2/*` — accelerator processing report and mission QoF arithmetic,
 //! * `fig5_fig7/*` — navigation environment stepping and perception,
 //! * `table3/*` — fault-map generation for both chip profiles,
-//! * `table4_ablation/*` — one BERRY dual-pass training update.
+//! * `table4_ablation/*` — one BERRY dual-pass training update,
+//! * `backward/*` — the training backward pass of each policy layer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -261,6 +262,40 @@ fn bench_gemm_core(c: &mut Criterion) {
     group.finish();
 }
 
+/// Training backward passes at the trainer's batch of 32 on the
+/// navigation env's 2×9×9 observations: the three convolutions of C3F2,
+/// the two convolutions C5F4 adds on 5×5 maps, and C3F2's first dense
+/// layer.
+/// Gradients accumulate across iterations (no `zero_grad`), which costs
+/// the same as starting from zero.
+fn bench_backward(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut group = c.benchmark_group("backward");
+    let conv_shapes: &[(&str, usize, usize, usize, usize)] = &[
+        // (label, in_c, out_c, stride, spatial); 3×3 kernels, padding 1
+        ("c3f2_conv1_b32", 2, 8, 1, 9),
+        ("c3f2_conv2_b32", 8, 16, 2, 9),
+        ("c3f2_conv3_b32", 16, 16, 1, 5),
+        ("c5f4_conv4_b32", 16, 24, 1, 5),
+        ("c5f4_conv5_b32", 24, 24, 1, 5),
+    ];
+    for &(label, ic, oc, s, hw) in conv_shapes {
+        let mut conv = Conv2d::new(ic, oc, 3, s, 1, &mut rng);
+        let x = Tensor::rand_uniform(&[32, ic, hw, hw], -1.0, 1.0, &mut rng);
+        let y = conv.forward(&x);
+        let grad = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+        group.bench_function(label, |b| b.iter(|| conv.backward(black_box(&grad))));
+    }
+    let mut dense = Dense::new(16 * 5 * 5, 64, &mut rng);
+    let x = Tensor::rand_uniform(&[32, 16 * 5 * 5], -1.0, 1.0, &mut rng);
+    let y = dense.forward(&x);
+    let grad = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+    group.bench_function("c3f2_fc1_400to64_b32", |b| {
+        b.iter(|| dense.backward(black_box(&grad)))
+    });
+    group.finish();
+}
+
 /// Rollout throughput (env-steps/sec) of the lockstep engine in isolation
 /// (one perturbed C3F2 policy, no rayon): 32 greedy episodes at 1 lane
 /// (serial lockstep) vs 8 and 16 lanes (one stacked forward pass per
@@ -402,6 +437,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_fig2, bench_fig6, bench_table1_fig3, bench_evaluate_under_faults, bench_gemm_core, bench_rollout_throughput, bench_table2, bench_fig5_fig7, bench_table3, bench_table4_ablation
+    targets = bench_fig2, bench_fig6, bench_table1_fig3, bench_evaluate_under_faults, bench_gemm_core, bench_backward, bench_rollout_throughput, bench_table2, bench_fig5_fig7, bench_table3, bench_table4_ablation
 }
 criterion_main!(benches);

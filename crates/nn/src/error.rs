@@ -23,13 +23,6 @@ pub enum NnError {
         /// Shape of the right-hand operand.
         right: Vec<usize>,
     },
-    /// A matrix product was requested with incompatible inner dimensions.
-    MatmulMismatch {
-        /// Columns of the left operand.
-        left_cols: usize,
-        /// Rows of the right operand.
-        right_rows: usize,
-    },
     /// A tensor of a particular rank was required.
     RankMismatch {
         /// Required rank.
@@ -53,13 +46,6 @@ impl fmt::Display for NnError {
             NnError::ShapeMismatch { left, right } => {
                 write!(f, "tensor shapes {left:?} and {right:?} are incompatible")
             }
-            NnError::MatmulMismatch {
-                left_cols,
-                right_rows,
-            } => write!(
-                f,
-                "matrix product inner dimensions differ: {left_cols} vs {right_rows}"
-            ),
             NnError::RankMismatch { expected, actual } => {
                 write!(f, "expected a rank-{expected} tensor, got rank {actual}")
             }
@@ -85,10 +71,6 @@ mod tests {
             NnError::ShapeMismatch {
                 left: vec![2, 2],
                 right: vec![3],
-            },
-            NnError::MatmulMismatch {
-                left_cols: 2,
-                right_rows: 3,
             },
             NnError::RankMismatch {
                 expected: 2,

@@ -1,12 +1,16 @@
-//! The shared im2col/GEMM inference core.
+//! The shared im2col/GEMM core of inference and training.
 //!
-//! Every inference-path matrix product in the crate — the batched dense
-//! layer and the im2col-lowered convolution — funnels through
-//! [`gemm_nt`]: a cache-friendly, register-tiled `C = A · Bᵀ` kernel over
-//! row-major operands whose rows share the contraction dimension.  One
-//! kernel serving every layer is what makes the batched lockstep rollout
-//! engine pay a *single* well-optimized forward pass per timestep for all
+//! Every forward matrix product in the crate — the batched dense layer and
+//! the im2col-lowered convolution — funnels through [`gemm_nt`]: a
+//! cache-friendly, register-tiled `C = A · Bᵀ` kernel over row-major
+//! operands whose rows share the contraction dimension.  One kernel
+//! serving every layer is what makes the batched lockstep rollout engine
+//! pay a *single* well-optimized forward pass per timestep for all
 //! concurrent episode lanes, instead of many tiny cache-unfriendly ones.
+//! Training's backward products (weight gradients, and input gradients as
+//! transposed convolutions) run on its crate-private companion
+//! `gemm_nn_accumulate`, `C += A · B`, row by row so that exact-zero
+//! gradient terms cost nothing.
 //!
 //! # Bitwise contract
 //!
@@ -28,10 +32,25 @@
 //!   layer tests.
 //!
 //! Zero-valued contraction terms (im2col padding cells, exact-zero
-//! activations skipped by [`crate::tensor::Tensor::matmul`]) contribute
-//! `±0.0` products; since accumulators start from `+0.0` (or a real-valued
-//! bias) and IEEE-754 round-to-nearest addition never turns such a sum into
-//! `-0.0`, including the terms is bitwise equivalent to skipping them.
+//! activations skipped by [`crate::layer::Dense::infer_scalar`])
+//! contribute `±0.0` products; since accumulators start from `+0.0` (or a
+//! real-valued bias) and IEEE-754 round-to-nearest addition never turns
+//! such a sum into `-0.0`, including the terms is bitwise equivalent to
+//! skipping them.
+//!
+//! The backward products extend the same argument to accumulators that
+//! start from an existing gradient: gradients start at `+0.0` after
+//! `zero_grad` and only ever receive such sums, so they are never `-0.0`
+//! either.  They add each element's terms in the order of the direct
+//! scalar loops the layers' unit tests keep as oracles and skip
+//! exact-zero output gradients as those loops do, so every gradient is
+//! bitwise the loops' — with one difference, for non-finite values only:
+//! the weight gradient of a convolution also multiplies each output
+//! gradient by the `+0.0` padding cells of its patch, which the loop
+//! skips as out of bounds.
+//! With a finite gradient these products are `±0.0` and change nothing;
+//! an infinite or NaN output gradient turns those weight-gradient
+//! elements to NaN as well, where the loop leaves them finite.
 //!
 //! # Precision tiers
 //!
@@ -140,6 +159,48 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: BiasMod
             j0 += NR;
         }
         i0 += MR;
+    }
+}
+
+/// `C[i][j] += Σₚ A[i][p] · B[p][j]` at the Reference tier, over row-major
+/// `A` (`m×k`), row-major `B` (`k×n`, the `NN` layout) and row-major `C`
+/// (`m×n`): the product training's backward pass runs on.
+///
+/// Each accumulator starts from `C`'s current value — gradients sum
+/// across `backward` calls until `zero_grad` — and takes its `k` terms in
+/// strictly ascending order with separate multiply and add, like
+/// [`gemm_nt`].  Terms whose `A` value is an exact zero are skipped: in
+/// this row-by-row (axpy) form a skip costs one compare, and the masked
+/// TD-loss and rectified gradients the backward pass multiplies are
+/// mostly zeros.  Every row of `C` is updated as a whole slice, so the
+/// inner loop vectorizes without changing any element's rounding
+/// sequence.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its `m`/`n`/`k` extent implies.
+pub(crate) fn gemm_nn_accumulate(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    // B (k×n) holds as many elements as an n×k NT operand.
+    check_gemm_shapes(m, n, k, a, b, c);
+    if n == 0 || k == 0 {
+        return;
+    }
+    for (a_row, c_row) in a[..m * k].chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            if av == 0.0 {
+                continue;
+            }
+            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                *cv += av * bv;
+            }
+        }
     }
 }
 

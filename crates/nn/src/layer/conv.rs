@@ -1,7 +1,7 @@
-//! 2-D convolution layer (im2col + GEMM forward, direct backward).
+//! 2-D convolution layer (im2col + GEMM forward and backward).
 
-use super::Layer;
-use crate::gemm::{gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape};
+use super::{Layer, TRAIN_GEMM};
+use crate::gemm::{gemm_nn_accumulate, gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -10,9 +10,15 @@ use crate::tensor::Tensor;
 /// Weights have shape `[out_channels, in_channels, kernel, kernel]` and the
 /// bias `[out_channels]`.  The forward pass lowers each sample to an im2col
 /// patch matrix and multiplies it through the shared GEMM core
-/// ([`Layer::infer_with`]); the backward pass is a direct loop over output
-/// positions and kernel taps.  [`Conv2d::infer_scalar`] keeps a direct
-/// scalar kernel as the bitwise reference the GEMM path is tested against.
+/// ([`Layer::infer_with`]).  The backward pass runs on the same core: the
+/// weight gradient accumulates, sample by sample, the product of the
+/// output gradient with the im2col patch matrix; the input gradient is a
+/// transposed convolution, one product per stride phase.  Each gradient
+/// element takes its terms in the order the direct backward loop added
+/// them, so the gradients are that loop's bit for bit (its unit tests
+/// keep the loop as their oracle).  [`Conv2d::infer_scalar`] keeps a
+/// direct scalar kernel as the bitwise reference the GEMM forward is
+/// tested against.
 ///
 /// # Examples
 ///
@@ -136,18 +142,6 @@ impl Conv2d {
             out_h: self.output_size(height),
             out_w: self.output_size(width),
         }
-    }
-
-    #[inline]
-    fn w_at(&self, oc: usize, ic: usize, kh: usize, kw: usize) -> f32 {
-        let k = self.kernel;
-        self.weight.data()[((oc * self.in_channels + ic) * k + kh) * k + kw]
-    }
-
-    #[inline]
-    fn gw_index(&self, oc: usize, ic: usize, kh: usize, kw: usize) -> usize {
-        let k = self.kernel;
-        ((oc * self.in_channels + ic) * k + kh) * k + kw
     }
 
     /// Scalar reference kernel: a loop-reordered direct convolution with
@@ -306,52 +300,37 @@ impl Layer for Conv2d {
             input.shape()[2],
             input.shape()[3],
         );
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
+        let shape = self.im2col_shape(h, w);
+        let oc = self.out_channels;
         assert_eq!(
             grad_output.shape(),
-            &[batch, self.out_channels, oh, ow],
+            &[batch, oc, shape.out_h, shape.out_w],
             "Conv2d gradient shape mismatch"
         );
-
+        let go = grad_output.data();
         let mut grad_input = Tensor::zeros(&[batch, c, h, w]);
-        let in_data = input.data();
-        let go_data = grad_output.data();
-
-        for n in 0..batch {
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let go = go_data[((n * self.out_channels + oc) * oh + oy) * ow + ox];
-                        if go == 0.0 {
-                            continue;
-                        }
-                        self.grad_bias.data_mut()[oc] += go;
-                        for ic in 0..self.in_channels {
-                            for kh in 0..self.kernel {
-                                let iy = (oy * self.stride + kh) as isize - self.padding as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kw in 0..self.kernel {
-                                    let ix =
-                                        (ox * self.stride + kw) as isize - self.padding as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let in_idx =
-                                        ((n * c + ic) * h + iy as usize) * w + ix as usize;
-                                    let gw_idx = self.gw_index(oc, ic, kh, kw);
-                                    self.grad_weight.data_mut()[gw_idx] += go * in_data[in_idx];
-                                    grad_input.data_mut()[in_idx] +=
-                                        go * self.w_at(oc, ic, kh, kw);
-                                }
-                            }
-                        }
+        TRAIN_GEMM.with_borrow_mut(|gemm| {
+            // Bias and weight gradients, sample by sample, so every element
+            // takes its terms in (n, oy, ox) order.
+            let (rows, taps) = (shape.rows(), shape.cols());
+            let col = gemm.col_buffer(rows * taps);
+            let samples = input.data().chunks_exact(c * h * w);
+            for (sample, go_n) in samples.zip(go.chunks_exact(oc * rows)) {
+                let grad_bias = self.grad_bias.data_mut();
+                for (gb, row) in grad_bias.iter_mut().zip(go_n.chunks_exact(rows)) {
+                    let mut acc = *gb;
+                    for &g in row {
+                        acc += g;
                     }
+                    *gb = acc;
                 }
+                im2col(sample, &shape, col);
+                gemm_nn_accumulate(oc, taps, rows, go_n, col, self.grad_weight.data_mut());
             }
-        }
+
+            let weight = self.weight.data();
+            input_grad(weight, go, batch, oc, &shape, gemm, grad_input.data_mut());
+        });
         grad_input
     }
 
@@ -385,9 +364,219 @@ impl Layer for Conv2d {
     }
 }
 
+/// Copies `planes` row-major `h×w` planes into `dst` with `+0.0` borders
+/// of `(top, bottom)` rows and `(left, right)` columns.
+fn pad_planes(
+    src: &[f32],
+    planes: usize,
+    (h, w): (usize, usize),
+    (top, bottom): (usize, usize),
+    (left, right): (usize, usize),
+    dst: &mut [f32],
+) {
+    let (hp, wp) = (h + top + bottom, w + left + right);
+    let dst_planes = dst[..planes * hp * wp].chunks_exact_mut(hp * wp);
+    for (s_plane, d_plane) in src[..planes * h * w].chunks_exact(h * w).zip(dst_planes) {
+        let (head, body) = d_plane.split_at_mut(top * wp);
+        let (body, tail) = body.split_at_mut(h * wp);
+        head.fill(0.0);
+        tail.fill(0.0);
+        for (s_row, d_row) in s_plane.chunks_exact(w).zip(body.chunks_exact_mut(wp)) {
+            d_row[..left].fill(0.0);
+            d_row[left..left + w].copy_from_slice(s_row);
+            d_row[left + w..].fill(0.0);
+        }
+    }
+}
+
+/// One spatial axis of a stride phase of the input gradient.
+///
+/// The input positions `i` with `(i + padding) mod stride = r` receive
+/// gradient only through the kernel taps `kk ≡ r (mod stride)`, from
+/// output position `(i + padding − kk) / stride`.  Phase taps are indexed
+/// by *descending* `kk`, so that the `j`-th input position of the phase
+/// meets tap `t` at output position `out0 + j + t`: ascending taps walk
+/// the output positions ascending.
+struct PhaseAxis {
+    /// First input position of the phase.
+    first: usize,
+    /// Input positions in the phase (`first`, `first + stride`, …).
+    count: usize,
+    /// Kernel taps of the phase.
+    taps: usize,
+    /// The largest kernel tap of the phase (tap index 0).
+    top_tap: usize,
+    stride: usize,
+    /// Output position of input position `first` under tap index 0.
+    out0: isize,
+}
+
+impl PhaseAxis {
+    fn new(r: usize, size: usize, shape: &Im2colShape) -> Self {
+        let (k, s, p) = (shape.kernel, shape.stride, shape.padding);
+        let first = (r + s - p % s) % s;
+        let count = if first < size {
+            (size - 1 - first) / s + 1
+        } else {
+            0
+        };
+        let taps = if r < k { (k - 1 - r) / s + 1 } else { 0 };
+        let top_tap = r + s * taps.saturating_sub(1);
+        Self {
+            first,
+            count,
+            taps,
+            top_tap,
+            stride: s,
+            out0: ((first + p) as isize - top_tap as isize) / s as isize,
+        }
+    }
+
+    /// The kernel tap of phase tap index `t`.
+    fn kernel_tap(&self, t: usize) -> usize {
+        self.top_tap - self.stride * t
+    }
+
+    /// Whether any tap reaches any input position of the phase.
+    fn is_live(&self) -> bool {
+        self.count > 0 && self.taps > 0
+    }
+
+    /// The zero border, before and after, that an `out`-long output axis
+    /// needs so that every live phase's positions `out0 + j + t` land
+    /// inside it.
+    fn border(size: usize, out: usize, shape: &Im2colShape) -> (usize, usize) {
+        let (mut lo, mut hi) = (0isize, out as isize - 1);
+        for r in 0..shape.stride {
+            let axis = Self::new(r, size, shape);
+            if axis.is_live() {
+                lo = lo.min(axis.out0);
+                hi = hi.max(axis.out0 + (axis.count + axis.taps) as isize - 2);
+            }
+        }
+        ((-lo) as usize, (hi + 1 - out as isize) as usize)
+    }
+}
+
+/// The input gradient as a transposed convolution on the GEMM core:
+/// `grad_input[n][ic][iy][ix] = Σ grad_output[n][oc][oy][ox] · W[oc][ic][kh][kw]`.
+///
+/// The input pixels split into `stride²` phases by
+/// `((iy + padding) mod stride, (ix + padding) mod stride)`; each phase
+/// is one product over only its own taps `(oc, kh↓, kw↓)`, which is
+/// `(oc, oy, ox)` ascending — the order the direct loop added the terms
+/// in.  Taps that fall outside the output plane read the `+0.0` border of
+/// a padded copy of `grad_output`; like exact-zero gradients, the product
+/// skips them, as the direct loop did.
+#[allow(clippy::too_many_arguments)]
+fn input_grad(
+    weight: &[f32],
+    grad_output: &[f32],
+    batch: usize,
+    out_channels: usize,
+    shape: &Im2colShape,
+    gemm: &mut GemmScratch,
+    grad_input: &mut [f32],
+) {
+    let Im2colShape {
+        channels,
+        height,
+        width,
+        kernel,
+        stride,
+        out_h,
+        out_w,
+        ..
+    } = *shape;
+    let (top, bottom) = PhaseAxis::border(height, out_h, shape);
+    let (left, right) = PhaseAxis::border(width, out_w, shape);
+    let (hp, wp) = (out_h + top + bottom, out_w + left + right);
+    let padded_len = batch * out_channels * hp * wp;
+    // The padded copy heads the scratch buffer; growing the buffer for a
+    // phase keeps it.
+    pad_planes(
+        grad_output,
+        batch * out_channels,
+        (out_h, out_w),
+        (top, bottom),
+        (left, right),
+        gemm.col_buffer(padded_len),
+    );
+    for ry in 0..stride {
+        let rows = PhaseAxis::new(ry, height, shape);
+        for rx in 0..stride {
+            let cols = PhaseAxis::new(rx, width, shape);
+            if !rows.is_live() || !cols.is_live() {
+                // No tap reaches these pixels; their gradient stays +0.0.
+                continue;
+            }
+            let taps = out_channels * rows.taps * cols.taps;
+            let positions = batch * rows.count * cols.count;
+            let phase_len = (channels + positions) * taps + positions * channels;
+            let buf = gemm.col_buffer(padded_len + phase_len);
+            let (padded, rest) = buf.split_at_mut(padded_len);
+            let (w_flip, rest) = rest.split_at_mut(taps * channels);
+            let (patches, out) = rest.split_at_mut(positions * taps);
+            // w_flip[(oc, ty, tx)][ic]: the kernel-flipped weights of the
+            // phase's taps.
+            let mut flipped_rows = w_flip.chunks_exact_mut(channels);
+            for oc in 0..out_channels {
+                for ty in 0..rows.taps {
+                    for tx in 0..cols.taps {
+                        let tap = rows.kernel_tap(ty) * kernel + cols.kernel_tap(tx);
+                        let dst = flipped_rows.next().expect("one row per phase tap");
+                        for (ic, d) in dst.iter_mut().enumerate() {
+                            *d = weight[(oc * channels + ic) * kernel * kernel + tap];
+                        }
+                    }
+                }
+            }
+            // patches[(n, jy, jx)][(oc, ty, tx)] = grad_output[n][oc][oy][ox].
+            let mut patch_rows = patches.chunks_exact_mut(taps);
+            for sample in padded.chunks_exact(out_channels * hp * wp) {
+                for jy in 0..rows.count {
+                    let oy = (rows.out0 + (top + jy) as isize) as usize;
+                    for jx in 0..cols.count {
+                        let ox = (cols.out0 + (left + jx) as isize) as usize;
+                        let row = patch_rows.next().expect("one patch row per pixel");
+                        for (block, plane) in row
+                            .chunks_exact_mut(rows.taps * cols.taps)
+                            .zip(sample.chunks_exact(hp * wp))
+                        {
+                            for (ty, dst) in block.chunks_exact_mut(cols.taps).enumerate() {
+                                let src = &plane[(oy + ty) * wp + ox..][..cols.taps];
+                                for (d, &v) in dst.iter_mut().zip(src) {
+                                    *d = v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            out.fill(0.0);
+            gemm_nn_accumulate(positions, channels, taps, patches, w_flip, out);
+            // Scatter out[(n, jy, jx)][ic] to the phase's input pixels.
+            let mut pixels = out.chunks_exact(channels);
+            for sample in grad_input.chunks_exact_mut(channels * height * width) {
+                for jy in 0..rows.count {
+                    let iy = rows.first + jy * stride;
+                    for jx in 0..cols.count {
+                        let pixel = iy * width + cols.first + jx * stride;
+                        let src = pixels.next().expect("one output row per pixel");
+                        for (plane, &v) in sample.chunks_exact_mut(height * width).zip(src) {
+                            plane[pixel] = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::with_signed_zeros;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -492,6 +681,117 @@ mod tests {
                     g.to_bits(),
                     f.to_bits(),
                     "gemm vs forward at ({ic},{oc},{k},{s},{p},{h},{w},{batch}) elem {i}"
+                );
+            }
+        }
+    }
+
+    /// The direct loop `Conv2d::backward` ran before it moved onto the GEMM
+    /// core, kept as its bitwise oracle: output elements in
+    /// `(n, oc, oy, ox)` order, exact-zero gradients skipped, every
+    /// in-bounds tap's terms added straight into the gradients.
+    fn backward_scalar(conv: &mut Conv2d, grad_output: &Tensor) -> Tensor {
+        let input = conv.cached_input.as_ref().expect("forward first");
+        let (batch, c, h, w) = (
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        );
+        let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding);
+        let mut grad_input = Tensor::zeros(&[batch, c, h, w]);
+        let in_data = input.data();
+        let go_data = grad_output.data();
+        for n in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let go = go_data[((n * conv.out_channels + oc) * oh + oy) * ow + ox];
+                        if go == 0.0 {
+                            continue;
+                        }
+                        conv.grad_bias.data_mut()[oc] += go;
+                        for ic in 0..c {
+                            for kh in 0..k {
+                                let iy = (oy * s + kh) as isize - p as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kw in 0..k {
+                                    let ix = (ox * s + kw) as isize - p as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let in_idx = ((n * c + ic) * h + iy as usize) * w + ix as usize;
+                                    let w_idx = ((oc * c + ic) * k + kh) * k + kw;
+                                    conv.grad_weight.data_mut()[w_idx] += go * in_data[in_idx];
+                                    grad_input.data_mut()[in_idx] += go * conv.weight.data()[w_idx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grad_input
+    }
+
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn gemm_backward_matches_scalar_oracle_bitwise() {
+        let mut r = rng();
+        // (in_c, out_c, kernel, stride, padding, h, w, batch): the C3F2 and
+        // C5F4 convolutions at batch 32, then odd channel counts, batch
+        // 1/7, stride 1/2/3 against every padding 0..=k, and kernels
+        // larger than the input.
+        let mut cases = vec![
+            (2, 8, 3, 1, 1, 9, 9, 32),
+            (8, 16, 3, 2, 1, 9, 9, 32),
+            (16, 16, 3, 1, 1, 5, 5, 32),
+            (16, 24, 3, 1, 1, 5, 5, 7),
+            (24, 24, 3, 1, 1, 5, 5, 1),
+            (1, 1, 1, 1, 0, 1, 1, 1),
+            (1, 3, 2, 3, 2, 5, 4, 7),
+        ];
+        for s in 1..=3 {
+            for p in 0..=3 {
+                cases.push((3, 5, 3, s, p, 5, 6, 7));
+            }
+            for p in 2..=5 {
+                cases.push((2, 3, 5, s, p, 3, 2, 1));
+            }
+            cases.push((5, 3, 4, s, 4, 3, 3, 1));
+        }
+        for (ic, oc, k, s, p, h, w, batch) in cases {
+            let label = format!("({ic},{oc},{k},{s},{p},{h},{w},{batch})");
+            let mut gemm = Conv2d::new(ic, oc, k, s, p, &mut r);
+            let x = with_signed_zeros(&[batch, ic, h, w], &mut r);
+            gemm.forward(&x);
+            let mut scalar = gemm.clone();
+            let (oh, ow) = (gemm.output_size(h), gemm.output_size(w));
+            // Two passes without zero_grad: the second accumulates onto
+            // the first's gradients, as the BERRY dual pass does.
+            for pass in 0..2 {
+                let go = with_signed_zeros(&[batch, oc, oh, ow], &mut r);
+                let gi = gemm.backward(&go);
+                let gi_scalar = backward_scalar(&mut scalar, &go);
+                assert_bits_eq(&gi, &gi_scalar, &format!("{label} pass {pass} grad_input"));
+                assert_bits_eq(
+                    &gemm.grad_weight,
+                    &scalar.grad_weight,
+                    &format!("{label} pass {pass} grad_weight"),
+                );
+                assert_bits_eq(
+                    &gemm.grad_bias,
+                    &scalar.grad_bias,
+                    &format!("{label} pass {pass} grad_bias"),
                 );
             }
         }

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
-use super::Layer;
-use crate::gemm::{gemm_nt_with, BiasMode, GemmScratch};
+use super::{Layer, TRAIN_GEMM};
+use crate::gemm::{gemm_nn_accumulate, gemm_nt_with, BiasMode, GemmScratch};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -192,24 +192,33 @@ impl Layer for Dense {
         assert_eq!(grad_output.rank(), 2, "Dense gradient must be rank 2");
         assert_eq!(grad_output.shape()[0], input.shape()[0]);
         assert_eq!(grad_output.shape()[1], self.out_features);
-
-        // grad_w += dyᵀ · x   ([out, batch] x [batch, in] -> [out, in])
-        let dyt = grad_output.transpose().expect("rank 2");
-        let gw = dyt.matmul(input).expect("checked dims");
-        self.grad_weight
-            .add_scaled(&gw, 1.0)
-            .expect("gradient shapes match");
+        let batch = grad_output.shape()[0];
+        let (in_f, out_f) = (self.in_features, self.out_features);
+        let dy = grad_output.data();
+        let mut grad_input = Tensor::zeros(&[batch, in_f]);
+        TRAIN_GEMM.with_borrow_mut(|gemm| {
+            let buf = gemm.col_buffer(out_f * batch + out_f * in_f);
+            let (dy_t, product) = buf.split_at_mut(out_f * batch);
+            // grad_w += dyᵀ · x: the batch sum from +0.0 (batch ascending),
+            // then added onto the accumulated gradient once.
+            transpose_into(dy, batch, out_f, dy_t);
+            product.fill(0.0);
+            gemm_nn_accumulate(out_f, in_f, batch, dy_t, input.data(), product);
+            for (g, &p) in self.grad_weight.data_mut().iter_mut().zip(product.iter()) {
+                *g += p;
+            }
+        });
+        // dx = dy · W, over the output features ascending.
+        let weight = self.weight.data();
+        gemm_nn_accumulate(batch, in_f, out_f, dy, weight, grad_input.data_mut());
 
         // grad_b += column sums of dy
-        let batch = grad_output.shape()[0];
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                self.grad_bias.data_mut()[o] += grad_output.at2(n, o);
+        for row in dy.chunks_exact(out_f) {
+            for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(row) {
+                *gb += g;
             }
         }
-
-        // dx = dy · W   ([batch, out] x [out, in] -> [batch, in])
-        grad_output.matmul(&self.weight).expect("checked dims")
+        grad_input
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -242,9 +251,20 @@ impl Layer for Dense {
     }
 }
 
+/// Writes the transpose of the row-major `rows×cols` matrix `src` into
+/// `dst` (`cols×rows`).
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (i, row) in src[..rows * cols].chunks_exact(cols).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::with_signed_zeros;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -279,7 +299,7 @@ mod tests {
         let mut r = rng();
         let mut layer = Dense::new(7, 5, &mut r);
         let mut x = Tensor::rand_uniform(&[3, 7], -1.0, 1.0, &mut r);
-        // Include exact zeros so the matmul zero-skip is exercised.
+        // Include exact zeros so the reference's zero-skip is exercised.
         x.data_mut()[0] = 0.0;
         x.data_mut()[10] = 0.0;
         let expected = layer.forward(&x);
@@ -334,6 +354,86 @@ mod tests {
                     f.to_bits(),
                     "gemm vs forward at ({in_f},{out_f},{batch}) elem {i}"
                 );
+            }
+        }
+    }
+
+    /// The matrix-product backward `Dense::backward` ran before it moved
+    /// onto the GEMM core, kept as its bitwise oracle: a row-by-row
+    /// product that skips exact-zero left-hand terms, for
+    /// `grad_w += (dyᵀ·x)` (summed from `+0.0`, then added once) and
+    /// `dx = dy·W`.
+    fn backward_matmul(layer: &mut Dense, grad_output: &Tensor) -> Tensor {
+        fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                for p in 0..k {
+                    let av = a[i * k + p];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        out[i * n + j] += av * b[p * n + j];
+                    }
+                }
+            }
+            out
+        }
+        let x = layer.cached_input.as_ref().expect("forward first").clone();
+        let (batch, in_f, out_f) = (x.shape()[0], layer.in_features, layer.out_features);
+        let dy = grad_output.data();
+        let mut dy_t = vec![0.0f32; out_f * batch];
+        transpose_into(dy, batch, out_f, &mut dy_t);
+        let gw = matmul(&dy_t, x.data(), out_f, batch, in_f);
+        for (g, &p) in layer.grad_weight.data_mut().iter_mut().zip(&gw) {
+            *g += 1.0 * p;
+        }
+        for n in 0..batch {
+            for o in 0..out_f {
+                layer.grad_bias.data_mut()[o] += dy[n * out_f + o];
+            }
+        }
+        let dx = matmul(dy, layer.weight.data(), batch, out_f, in_f);
+        Tensor::from_vec(vec![batch, in_f], dx).unwrap()
+    }
+
+    #[test]
+    fn gemm_backward_matches_matmul_oracle_bitwise() {
+        let mut r = rng();
+        // (in_features, out_features, batch): the C3F2/C5F4 dense layers at
+        // batch 32, odd sizes, batch 1 and 7.
+        for &(in_f, out_f, batch) in &[
+            (400usize, 64usize, 32usize),
+            (600, 96, 32),
+            (64, 25, 32),
+            (1, 1, 1),
+            (7, 5, 7),
+            (13, 9, 1),
+            (3, 17, 7),
+        ] {
+            let mut gemm = Dense::new(in_f, out_f, &mut r);
+            let x = with_signed_zeros(&[batch, in_f], &mut r);
+            gemm.forward(&x);
+            let mut oracle = gemm.clone();
+            // Two passes without zero_grad: the second accumulates.
+            for pass in 0..2 {
+                let dy = with_signed_zeros(&[batch, out_f], &mut r);
+                let gx = gemm.backward(&dy);
+                let gx_oracle = backward_matmul(&mut oracle, &dy);
+                for (what, got, want) in [
+                    ("grad_input", &gx, &gx_oracle),
+                    ("grad_weight", &gemm.grad_weight, &oracle.grad_weight),
+                    ("grad_bias", &gemm.grad_bias, &oracle.grad_bias),
+                ] {
+                    assert_eq!(got.shape(), want.shape());
+                    for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "({in_f},{out_f},{batch}) pass {pass} {what} element {i}: {a} vs {b}"
+                        );
+                    }
+                }
             }
         }
     }

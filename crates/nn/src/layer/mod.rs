@@ -21,8 +21,9 @@ use crate::gemm::GemmScratch;
 use crate::tensor::Tensor;
 
 thread_local! {
-    /// im2col buffers for [`Layer::forward`], whose signature carries no
-    /// scratch.  Never switched off the default Reference tier.
+    /// im2col and gradient buffers for [`Layer::forward`] and
+    /// [`Layer::backward`], whose signatures carry no scratch.  Never
+    /// switched off the default Reference tier.
     static TRAIN_GEMM: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
 }
 
@@ -75,6 +76,15 @@ pub trait Layer: Send + Sync {
     /// Runs the backward pass for the most recent forward input, accumulating
     /// parameter gradients and returning the gradient with respect to the
     /// layer input.
+    ///
+    /// Layers with a matrix-product forward (dense, convolution) run their
+    /// gradients on the GEMM core's Reference-tier product
+    /// (`gemm_nn_accumulate`), reusing a thread-local scratch, so a
+    /// steady-state call allocates only the returned input gradient.  Each
+    /// gradient element takes its terms in the ascending order of a direct
+    /// scalar loop and skips exact-zero output gradients as that loop
+    /// does, so the gradients equal the loop's bit for bit; each layer's
+    /// unit tests keep the loop as their oracle.
     ///
     /// # Panics
     ///
@@ -425,6 +435,23 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Uniform values in `[-1, 1)` with about a quarter of the cells set to
+    /// an exact `+0.0` or `-0.0`: the zero cases of the GEMM backward's
+    /// bitwise oracle tests.
+    pub(super) fn with_signed_zeros(shape: &[usize], r: &mut rand::rngs::StdRng) -> Tensor {
+        use rand::Rng;
+        let mut t = Tensor::rand_uniform(shape, -1.0, 1.0, r);
+        for v in t.data_mut() {
+            let u: f32 = r.gen();
+            if u < 0.125 {
+                *v = 0.0;
+            } else if u < 0.25 {
+                *v = -0.0;
+            }
+        }
+        t
+    }
 
     #[test]
     fn relu_forward_and_backward() {

@@ -319,72 +319,6 @@ impl Tensor {
         })
     }
 
-    /// Matrix multiplication of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::RankMismatch`] if either operand is not rank 2, or
-    /// [`NnError::MatmulMismatch`] if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(NnError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        if other.rank() != 2 {
-            return Err(NnError::RankMismatch {
-                expected: 2,
-                actual: other.rank(),
-            });
-        }
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        if k != k2 {
-            return Err(NnError::MatmulMismatch {
-                left_cols: k,
-                right_rows: k2,
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let row = &self.data[i * k..(i + 1) * k];
-            for (p, &a) in row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Tensor::from_vec(vec![m, n], out)
-    }
-
-    /// Transposes a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::RankMismatch`] if the tensor is not rank 2.
-    pub fn transpose(&self) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(NnError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor::from_vec(vec![n, m], out)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -570,40 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_correctness() {
-        let a = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let b = Tensor::from_vec(vec![3, 2], vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
-        assert!(matches!(
-            a.matmul(&b).unwrap_err(),
-            NnError::MatmulMismatch { .. }
-        ));
-        let v = Tensor::zeros(&[3]);
-        assert!(matches!(
-            v.matmul(&b).unwrap_err(),
-            NnError::RankMismatch { .. }
-        ));
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let t = a.transpose().unwrap();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.at2(0, 1), 4.0);
-        let back = t.transpose().unwrap();
-        assert_eq!(back, a);
-    }
-
-    #[test]
     fn reductions() {
         let a = Tensor::from_vec(vec![4], vec![1.0, -2.0, 3.0, 0.5]).unwrap();
         assert_eq!(a.sum(), 2.5);
@@ -705,28 +605,6 @@ mod tests {
             let ab = a.add(&b).unwrap();
             let ba = b.add(&a).unwrap();
             prop_assert_eq!(ab.data(), ba.data());
-        }
-
-        #[test]
-        fn prop_transpose_is_involution(rows in 1usize..8, cols in 1usize..8, seed in 0u64..1000) {
-            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
-            let t = Tensor::rand_uniform(&[rows, cols], -1.0, 1.0, &mut r);
-            let tt = t.transpose().unwrap().transpose().unwrap();
-            prop_assert_eq!(t, tt);
-        }
-
-        #[test]
-        fn prop_matmul_identity(n in 1usize..8, seed in 0u64..1000) {
-            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
-            let a = Tensor::rand_uniform(&[n, n], -1.0, 1.0, &mut r);
-            let mut eye = Tensor::zeros(&[n, n]);
-            for i in 0..n {
-                *eye.at2_mut(i, i) = 1.0;
-            }
-            let prod = a.matmul(&eye).unwrap();
-            for (x, y) in prod.data().iter().zip(a.data().iter()) {
-                prop_assert!((x - y).abs() < 1e-5);
-            }
         }
 
         #[test]

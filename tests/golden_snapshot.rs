@@ -405,7 +405,7 @@ fn conv_agent(spec: &berry_rl::policy::QNetworkSpec, seed: u64) -> berry_rl::dqn
 fn conv_batch(rng: &mut rand::rngs::StdRng, size: usize) -> Vec<berry_rl::env::Transition> {
     use rand::Rng;
     let len: usize = CONV_OBS.iter().product();
-    let mut observation = |rng: &mut rand::rngs::StdRng| {
+    let observation = |rng: &mut rand::rngs::StdRng| {
         let data: Vec<f32> = (0..len)
             .map(|_| {
                 if rng.gen::<f32>() < 0.33 {
@@ -470,7 +470,10 @@ fn c3f2_classical_updates_match_golden_snapshot() {
         })
         .collect();
     let observed = (weights_fnv(agent.q_net()), losses);
-    eprintln!("observed c3f2 training: ({:#x}, {:x?})", observed.0, observed.1);
+    eprintln!(
+        "observed c3f2 training: ({:#x}, {:x?})",
+        observed.0, observed.1
+    );
     assert_eq!(observed.0, C3F2_TRAIN_GOLDEN.0, "C3F2 weights drifted");
     assert_eq!(observed.1, C3F2_TRAIN_GOLDEN.1, "C3F2 losses drifted");
 }
@@ -496,7 +499,10 @@ fn c5f4_berry_updates_match_golden_snapshot() {
         losses.extend([clean.to_bits(), perturbed.to_bits()]);
     }
     let observed = (weights_fnv(agent.q_net()), losses);
-    eprintln!("observed c5f4 training: ({:#x}, {:x?})", observed.0, observed.1);
+    eprintln!(
+        "observed c5f4 training: ({:#x}, {:x?})",
+        observed.0, observed.1
+    );
     assert_eq!(observed.0, C5F4_BERRY_GOLDEN.0, "C5F4 weights drifted");
     assert_eq!(observed.1, C5F4_BERRY_GOLDEN.1, "C5F4 losses drifted");
 }
